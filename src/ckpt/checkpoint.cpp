@@ -2,196 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <map>
 
-#include "ckpt/crc32.hpp"
 #include "core/io.hpp"
 #include "obs/trace.hpp"
 
 namespace legw::ckpt {
-
-namespace {
-
-constexpr char kMagicV2[8] = {'L', 'E', 'G', 'W', 'C', 'K', 'P', '2'};
-constexpr char kMagicV1[8] = {'L', 'E', 'G', 'W', 'C', 'K', 'P', 'T'};
-constexpr u32 kVersion = 2;
-
-// Caps no legitimate checkpoint exceeds; values beyond them are bit flips or
-// foreign data, not real sizes. Rejecting early keeps a flipped length field
-// from turning into a multi-gigabyte allocation.
-constexpr u32 kMaxNameLen = 1u << 16;
-constexpr u64 kMaxNdim = 16;
-constexpr u64 kMaxEntries = 1u << 24;
-constexpr i64 kMaxDim = 1ll << 32;
-
-Result fail(Status status, std::string message) {
-  Result r;
-  r.status = status;
-  r.message = std::move(message);
-  return r;
-}
-
-// ---- encoding ---------------------------------------------------------------
-
-template <typename T>
-void append_pod(std::string& out, const T& v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-void append_str(std::string& out, const std::string& s) {
-  append_pod(out, static_cast<u32>(s.size()));
-  out.append(s);
-}
-
-void append_tensor_payload(std::string& out, const core::Tensor& t) {
-  append_pod(out, static_cast<u64>(t.dim()));
-  for (i64 d = 0; d < t.dim(); ++d) append_pod(out, t.size(d));
-  out.append(reinterpret_cast<const char*>(t.data()),
-             static_cast<std::size_t>(t.numel()) * sizeof(float));
-}
-
-void append_named_tensor(std::string& out, const std::string& name,
-                         const core::Tensor& t) {
-  append_str(out, name);
-  append_tensor_payload(out, t);
-}
-
-void append_section(std::string& out, const char* name,
-                    const std::string& payload) {
-  append_str(out, name);
-  append_pod(out, static_cast<u64>(payload.size()));
-  append_pod(out, crc32(payload.data(), payload.size()));
-  out.append(payload);
-}
-
-// ---- decoding ---------------------------------------------------------------
-
-// Bounds-checked cursor over an in-memory file image. Every read either
-// succeeds completely or reports truncation; nothing is applied to live
-// state until the entire file has validated.
-struct Reader {
-  const char* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  bool bytes(void* out, std::size_t n) {
-    if (n > size - pos) return false;
-    std::memcpy(out, data + pos, n);
-    pos += n;
-    return true;
-  }
-  template <typename T>
-  bool pod(T* v) {
-    return bytes(v, sizeof(T));
-  }
-  bool str(std::string* out) {
-    u32 len = 0;
-    if (!pod(&len) || len > kMaxNameLen) return false;
-    if (len > size - pos) return false;
-    out->assign(data + pos, len);
-    pos += len;
-    return true;
-  }
-  // Borrows `n` bytes from the image without copying.
-  const char* borrow(std::size_t n) {
-    if (n > size - pos) return nullptr;
-    const char* p = data + pos;
-    pos += n;
-    return p;
-  }
-  std::size_t remaining() const { return size - pos; }
-};
-
-// A decoded tensor whose data still lives in the file image.
-struct StagedTensor {
-  std::string name;
-  core::Shape shape;
-  i64 numel = 0;
-  const char* bytes = nullptr;  // numel * sizeof(float), possibly unaligned
-};
-
-bool decode_tensor_payload(Reader& r, StagedTensor* out) {
-  u64 ndim = 0;
-  if (!r.pod(&ndim) || ndim > kMaxNdim) return false;
-  out->shape.assign(static_cast<std::size_t>(ndim), 0);
-  i64 numel = 1;
-  for (u64 d = 0; d < ndim; ++d) {
-    i64 dim = 0;
-    if (!r.pod(&dim) || dim < 0 || dim > kMaxDim) return false;
-    out->shape[static_cast<std::size_t>(d)] = dim;
-    if (dim > 0 && numel > kMaxDim / dim) return false;  // overflow guard
-    numel *= dim;
-  }
-  out->numel = numel;
-  out->bytes = r.borrow(static_cast<std::size_t>(numel) * sizeof(float));
-  return out->bytes != nullptr;
-}
-
-bool decode_named_tensor(Reader& r, StagedTensor* out) {
-  return r.str(&out->name) && decode_tensor_payload(r, out);
-}
-
-void apply_tensor(const StagedTensor& src, core::Tensor& dst) {
-  std::memcpy(dst.data(), src.bytes,
-              static_cast<std::size_t>(src.numel) * sizeof(float));
-}
-
-// Validates a staged named-tensor list against live named targets (same
-// count, names and shapes in order) and, on success, copies the data in.
-template <typename GetName, typename GetTensor>
-Result match_and_apply(const char* what,
-                       const std::vector<StagedTensor>& staged, std::size_t n,
-                       GetName name_of, GetTensor tensor_of, bool apply) {
-  if (staged.size() != n) {
-    return fail(Status::kStateMismatch,
-                std::string(what) + ": file has " +
-                    std::to_string(staged.size()) + " entries, state has " +
-                    std::to_string(n));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (staged[i].name != name_of(i)) {
-      return fail(Status::kStateMismatch,
-                  std::string(what) + ": entry '" + staged[i].name +
-                      "' does not match state entry '" + name_of(i) + "'");
-    }
-    core::Tensor& dst = tensor_of(i);
-    if (dst.shape() != staged[i].shape) {
-      return fail(Status::kStateMismatch,
-                  std::string(what) + ": shape mismatch for '" +
-                      staged[i].name + "': file " +
-                      core::shape_to_string(staged[i].shape) + " vs state " +
-                      core::shape_to_string(dst.shape()));
-    }
-    if (apply) apply_tensor(staged[i], dst);
-  }
-  return {};
-}
-
-Result truncated(const char* what) {
-  return fail(Status::kTruncated,
-              std::string("checkpoint truncated/malformed in ") + what);
-}
-
-}  // namespace
-
-const char* status_name(Status s) {
-  switch (s) {
-    case Status::kOk: return "ok";
-    case Status::kOpenFailed: return "open-failed";
-    case Status::kTruncated: return "truncated";
-    case Status::kBadMagic: return "bad-magic";
-    case Status::kBadVersion: return "bad-version";
-    case Status::kCrcMismatch: return "crc-mismatch";
-    case Status::kMalformed: return "malformed";
-    case Status::kStateMismatch: return "state-mismatch";
-    case Status::kWriteFailed: return "write-failed";
-    case Status::kNoCheckpoint: return "no-checkpoint";
-    case Status::kSimulatedCrash: return "simulated-crash";
-  }
-  return "unknown";
-}
 
 // ---- encode -----------------------------------------------------------------
 
@@ -203,25 +19,11 @@ std::string encode(const TrainState& state) {
   LEGW_CHECK(state.emas.empty() || state.emas.size() == state.models.size(),
              "ckpt::encode: emas must align with models");
   const nn::Module& model = *state.models.front();
+  std::vector<std::pair<std::string, std::string>> sections;
 
-  std::string meta;
-  {
-    const std::pair<const char*, i64> ints[] = {
-        {"step", state.step},
-        {"epoch", state.epoch},
-        {"micro_step", state.micro_step},
-    };
-    append_pod(meta, static_cast<u32>(std::size(ints)));
-    for (const auto& [k, v] : ints) {
-      append_str(meta, k);
-      append_pod(meta, v);
-    }
-    const std::string opt_name =
-        state.optimizers.empty() ? "" : state.optimizers.front()->name();
-    append_pod(meta, static_cast<u32>(1));
-    append_str(meta, "optimizer");
-    append_str(meta, opt_name);
-  }
+  Meta meta{state.step, state.epoch, state.micro_step,
+            state.optimizers.empty() ? "" : state.optimizers.front()->name()};
+  sections.emplace_back("meta", encode_meta(meta));
 
   std::string params;
   {
@@ -229,6 +31,7 @@ std::string encode(const TrainState& state) {
     append_pod(params, static_cast<u64>(named.size()));
     for (const auto& p : named) append_named_tensor(params, p.name, p.var.value());
   }
+  sections.emplace_back("params", std::move(params));
 
   std::string buffers;
   {
@@ -236,11 +39,12 @@ std::string encode(const TrainState& state) {
     append_pod(buffers, static_cast<u64>(named.size()));
     for (const auto& b : named) append_named_tensor(buffers, b.name, *b.tensor);
   }
+  sections.emplace_back("buffers", std::move(buffers));
 
-  std::string optim;
   if (!state.optimizers.empty()) {
     optim::Optimizer& opt = *state.optimizers.front();
     const auto view = opt.state_entries();
+    std::string optim;
     append_str(optim, opt.name());
     append_pod(optim, static_cast<u32>(view.tensors.size()));
     for (const auto& e : view.tensors) {
@@ -251,73 +55,57 @@ std::string encode(const TrainState& state) {
       append_str(optim, e.name);
       append_pod(optim, *e.value);
     }
+    sections.emplace_back("optim", std::move(optim));
   }
 
-  std::string ema;
   if (!state.emas.empty()) {
     const auto& shadow = state.emas.front()->shadow();
+    std::string ema;
     append_pod(ema, static_cast<u64>(shadow.size()));
-    for (const auto& t : shadow) append_tensor_payload(ema, t);
+    for (const auto& t : shadow) append_tensor(ema, t);
+    sections.emplace_back("ema", std::move(ema));
   }
 
   std::string rng;
-  {
-    append_pod(rng, static_cast<u32>(state.rngs.size()));
-    for (const auto& [name, stream] : state.rngs) {
-      const core::Rng::State s = stream->state();
-      append_str(rng, name);
-      append_pod(rng, s.counter);
-      append_pod(rng, static_cast<u16>(s.has_cached ? 1 : 0));
-      append_pod(rng, s.cached);
-    }
+  append_pod(rng, static_cast<u32>(state.rngs.size()));
+  for (const auto& [name, stream] : state.rngs) {
+    const core::Rng::State s = stream->state();
+    append_str(rng, name);
+    append_pod(rng, s.counter);
+    append_pod(rng, static_cast<u16>(s.has_cached ? 1 : 0));
+    append_pod(rng, s.cached);
   }
+  sections.emplace_back("rng", std::move(rng));
 
   std::string extra;
-  {
-    append_pod(extra, static_cast<u64>(state.extra.size()));
-    for (const auto& [name, t] : state.extra) {
-      append_named_tensor(extra, name, *t);
-    }
+  append_pod(extra, static_cast<u64>(state.extra.size()));
+  for (const auto& [name, t] : state.extra) {
+    append_named_tensor(extra, name, *t);
   }
+  sections.emplace_back("extra", std::move(extra));
 
   // Mid-accumulation saves carry the pending micro-batch gradient sum: the
   // micro-step counter alone cannot reproduce the interrupted large-batch
   // step without it.
-  std::string grads;
-  const bool save_grads = state.micro_step > 0;
-  if (save_grads) {
+  if (state.micro_step > 0) {
     const auto params_list = model.parameters();
+    std::string grads;
     append_pod(grads, static_cast<u64>(params_list.size()));
-    for (const auto& p : params_list) append_tensor_payload(grads, p.grad());
+    for (const auto& p : params_list) append_tensor(grads, p.grad());
+    sections.emplace_back("grads", std::move(grads));
   }
-
-  std::string out;
-  out.append(kMagicV2, sizeof kMagicV2);
-  append_pod(out, kVersion);
-  u32 n_sections = 6;  // meta, params, buffers, rng, extra + optim-or-empty
-  n_sections = 5 + (state.optimizers.empty() ? 0u : 1u) +
-               (state.emas.empty() ? 0u : 1u) + (save_grads ? 1u : 0u);
-  append_pod(out, n_sections);
-  append_section(out, "meta", meta);
-  append_section(out, "params", params);
-  append_section(out, "buffers", buffers);
-  if (!state.optimizers.empty()) append_section(out, "optim", optim);
-  if (!state.emas.empty()) append_section(out, "ema", ema);
-  append_section(out, "rng", rng);
-  append_section(out, "extra", extra);
-  if (save_grads) append_section(out, "grads", grads);
-  return out;
+  return encode_v2(sections);
 }
 
 Result save(const TrainState& state, const std::string& path) {
   obs::Span span("ckpt_write");
   if (state.models.empty()) {
-    return fail(Status::kWriteFailed, "ckpt::save: no model in state");
+    return Result::error(Status::kWriteFailed, "ckpt::save: no model in state");
   }
   const std::string image = encode(state);
   const core::Status st = core::atomic_write_file(path, image);
   if (!st.ok()) {
-    return fail(Status::kWriteFailed, "ckpt::save: " + st.message());
+    return Result::error(Status::kWriteFailed, "ckpt::save: " + st.message());
   }
   obs::count("ckpt_writes", 1);
   obs::count("ckpt_bytes", static_cast<i64>(image.size()));
@@ -328,38 +116,79 @@ Result save(const TrainState& state, const std::string& path) {
 
 namespace {
 
-// Reads the whole file; empty optional on open failure.
-bool slurp(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fseek(f, 0, SEEK_END);
-  const long sz = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  out->resize(sz < 0 ? 0 : static_cast<std::size_t>(sz));
-  const bool ok =
-      out->empty() || std::fread(out->data(), 1, out->size(), f) == out->size();
-  std::fclose(f);
-  return ok;
+// The live tensors a decoded list is restored into, in file order. Names are
+// empty for the unnamed lists (ema, grads).
+using Live = std::vector<std::pair<std::string, const core::Tensor*>>;
+
+Live params_of(const nn::Module& model) {
+  Live live;
+  for (const auto& p : model.named_parameters()) {
+    live.emplace_back(p.name, &p.var.value());
+  }
+  return live;
 }
 
-Result load_v1_params(TrainState& state, Reader r, const std::string& path) {
-  u64 n_entries = 0;
-  if (!r.pod(&n_entries) || n_entries > kMaxEntries) {
-    return truncated("v1 header");
+Live buffers_of(const nn::Module& model) {
+  Live live;
+  for (const auto& b : model.named_buffers()) {
+    live.emplace_back(b.name, b.tensor);
   }
-  std::vector<StagedTensor> staged(static_cast<std::size_t>(n_entries));
-  for (auto& t : staged) {
-    if (!decode_named_tensor(r, &t)) return truncated("v1 entry");
+  return live;
+}
+
+// Validates a decoded list against the live entries it will overwrite: same
+// count, and per entry the same name and shape, in order.
+Result match(const std::string& what, const std::vector<TensorView>& file,
+             const Live& live) {
+  if (file.size() != live.size()) {
+    return Result::error(Status::kStateMismatch,
+                         what + ": file has " + std::to_string(file.size()) +
+                             " entries, state has " +
+                             std::to_string(live.size()));
+  }
+  for (std::size_t i = 0; i < file.size(); ++i) {
+    const std::string& name = live[i].first;
+    if (file[i].name != name) {
+      return Result::error(Status::kStateMismatch,
+                           what + ": entry '" + file[i].name +
+                               "' does not match state entry '" + name + "'");
+    }
+    const core::Shape& shape = live[i].second->shape();
+    if (file[i].shape != shape) {
+      return Result::error(
+          Status::kStateMismatch,
+          what + ": shape mismatch for " +
+              (name.empty() ? "entry " + std::to_string(i) : "'" + name + "'") +
+              ": file " + core::shape_to_string(file[i].shape) + " vs state " +
+              core::shape_to_string(shape));
+    }
+  }
+  return {};
+}
+
+// Decodes the tensor list stored in section `name`.
+template <typename Count>
+Result decode_section(const Container& c, const std::string& name, bool named,
+                      std::vector<TensorView>* out) {
+  const Reader* sec = c.find(name);
+  if (sec == nullptr) {
+    return Result::error(Status::kMalformed, "missing '" + name + "' section");
+  }
+  Reader r = *sec;
+  if (!decode_tensors<Count>(r, named, out)) return truncated(name);
+  return {};
+}
+
+Result load_v1(TrainState& state, const Container& c, const std::string& path) {
+  for (nn::Module* model : state.models) {
+    Result res = match("params", c.v1_params, params_of(*model));
+    if (!res.ok()) return res;
   }
   for (nn::Module* model : state.models) {
     auto named = model->named_parameters();
-    Result res = match_and_apply(
-        "params", staged, named.size(), [&](std::size_t i) { return named[i].name; },
-        [&](std::size_t i) -> core::Tensor& {
-          return named[i].var.mutable_value();
-        },
-        /*apply=*/true);
-    if (!res.ok()) return res;
+    for (std::size_t i = 0; i < named.size(); ++i) {
+      c.v1_params[i].copy_to(named[i].var.mutable_value());
+    }
   }
   Result res;
   res.message = "v1 checkpoint " + path + ": parameters restored, "
@@ -367,396 +196,236 @@ Result load_v1_params(TrainState& state, Reader r, const std::string& path) {
   return res;
 }
 
-struct Section {
-  std::string name;
-  Reader payload;
-};
-
-}  // namespace
-
-Result load(TrainState& state, const std::string& path) {
-  std::string image;
-  if (!slurp(path, &image)) {
-    return fail(Status::kOpenFailed, "ckpt::load: cannot read " + path);
-  }
-  return load_image(state, image, path);
-}
-
-Result load_image(TrainState& state, const std::string& image,
-                  const std::string& path) {
-  obs::Span span("ckpt_restore");
+// Stage 1 decodes and validates the whole file against the live schema;
+// stage 2 applies it to every replica. Nothing is written before stage 2.
+Result restore(TrainState& state, const std::string& image,
+               const std::string& path) {
   if (state.models.empty()) {
-    return fail(Status::kStateMismatch, "ckpt::load: no model in state");
+    return Result::error(Status::kStateMismatch, "no model in state");
   }
   if (!state.optimizers.empty() &&
       state.optimizers.size() != state.models.size()) {
-    return fail(Status::kStateMismatch,
-                "ckpt::load: optimizers must align with models");
+    return Result::error(Status::kStateMismatch,
+                         "optimizers must align with models");
   }
-  Reader r{image.data(), image.size()};
-
-  char magic[8];
-  if (!r.bytes(magic, sizeof magic)) {
-    return fail(Status::kTruncated, "ckpt::load: " + path + " shorter than a header");
-  }
-  u32 version = 0;
-  if (std::memcmp(magic, kMagicV1, sizeof kMagicV1) == 0) {
-    if (!r.pod(&version)) return truncated("v1 header");
-    if (version != 1) {
-      return fail(Status::kBadVersion,
-                  "ckpt::load: v1-magic file with version " +
-                      std::to_string(version));
-    }
-    return load_v1_params(state, r, path);
-  }
-  if (std::memcmp(magic, kMagicV2, sizeof kMagicV2) != 0) {
-    return fail(Status::kBadMagic, "ckpt::load: bad magic in " + path);
-  }
-  if (!r.pod(&version)) return truncated("header");
-  if (version != kVersion) {
-    return fail(Status::kBadVersion,
-                "ckpt::load: unsupported version " + std::to_string(version) +
-                    " in " + path);
-  }
-
-  u32 n_sections = 0;
-  if (!r.pod(&n_sections) || n_sections > 64) return truncated("header");
-  std::map<std::string, Reader> sections;
-  for (u32 i = 0; i < n_sections; ++i) {
-    std::string name;
-    u64 payload_bytes = 0;
-    u32 crc = 0;
-    if (!r.str(&name) || !r.pod(&payload_bytes) || !r.pod(&crc)) {
-      return truncated("section header");
-    }
-    const char* payload = r.borrow(static_cast<std::size_t>(payload_bytes));
-    if (payload == nullptr) {
-      return fail(Status::kTruncated,
-                  "ckpt::load: section '" + name + "' truncated in " + path);
-    }
-    if (crc32(payload, static_cast<std::size_t>(payload_bytes)) != crc) {
-      return fail(Status::kCrcMismatch,
-                  "ckpt::load: CRC mismatch in section '" + name + "' of " +
-                      path);
-    }
-    if (!sections.emplace(name, Reader{payload,
-                                       static_cast<std::size_t>(payload_bytes)})
-             .second) {
-      return fail(Status::kMalformed,
-                  "ckpt::load: duplicate section '" + name + "' in " + path);
-    }
-  }
-  if (r.remaining() != 0) {
-    return fail(Status::kMalformed,
-                "ckpt::load: " + std::to_string(r.remaining()) +
-                    " trailing bytes after last section in " + path);
-  }
+  Container c;
+  Result res = parse_container(image, &c);
+  if (!res.ok()) return res;
+  if (c.version == kVersionV1) return load_v1(state, c, path);
 
   // ---- stage 1: decode + validate everything against the live schema ------
 
-  const auto find = [&](const char* name) -> Reader* {
-    auto it = sections.find(name);
-    return it == sections.end() ? nullptr : &it->second;
-  };
-
-  // meta (required)
-  i64 step = 0, epoch = 0, micro_step = 0;
-  std::string file_opt_name;
-  {
-    Reader* meta = find("meta");
-    if (meta == nullptr) {
-      return fail(Status::kMalformed, "ckpt::load: missing 'meta' section");
-    }
-    u32 n_ints = 0;
-    if (!meta->pod(&n_ints) || n_ints > 64) return truncated("meta");
-    for (u32 i = 0; i < n_ints; ++i) {
-      std::string key;
-      i64 value = 0;
-      if (!meta->str(&key) || !meta->pod(&value)) return truncated("meta");
-      if (key == "step") step = value;
-      else if (key == "epoch") epoch = value;
-      else if (key == "micro_step") micro_step = value;
-    }
-    u32 n_strs = 0;
-    if (!meta->pod(&n_strs) || n_strs > 64) return truncated("meta");
-    for (u32 i = 0; i < n_strs; ++i) {
-      std::string key, value;
-      if (!meta->str(&key) || !meta->str(&value)) return truncated("meta");
-      if (key == "optimizer") file_opt_name = value;
-    }
-    if (step < 0 || micro_step < 0) {
-      return fail(Status::kMalformed, "ckpt::load: negative counters in meta");
-    }
+  const Reader* meta_section = c.find("meta");
+  if (meta_section == nullptr) {
+    return Result::error(Status::kMalformed, "missing 'meta' section");
   }
+  Meta meta;
+  res = decode_meta(*meta_section, &meta);
+  if (!res.ok()) return res;
   if (!state.optimizers.empty() &&
-      file_opt_name != state.optimizers.front()->name()) {
-    return fail(Status::kStateMismatch,
-                "ckpt::load: checkpoint was written by optimizer '" +
-                    file_opt_name + "', state has '" +
-                    state.optimizers.front()->name() + "'");
+      meta.optimizer != state.optimizers.front()->name()) {
+    return Result::error(Status::kStateMismatch,
+                         "checkpoint was written by optimizer '" +
+                             meta.optimizer + "', state has '" +
+                             state.optimizers.front()->name() + "'");
   }
 
-  // params (required)
-  std::vector<StagedTensor> staged_params;
-  {
-    Reader* sec = find("params");
-    if (sec == nullptr) {
-      return fail(Status::kMalformed, "ckpt::load: missing 'params' section");
-    }
-    u64 n = 0;
-    if (!sec->pod(&n) || n > kMaxEntries) return truncated("params");
-    staged_params.resize(static_cast<std::size_t>(n));
-    for (auto& t : staged_params) {
-      if (!decode_named_tensor(*sec, &t)) return truncated("params entry");
-    }
+  // params and buffers (both required in v2; buffers written even when
+  // empty), matched against every replica stage 2 writes.
+  std::vector<TensorView> params, buffers;
+  res = decode_section<u64>(c, "params", true, &params);
+  if (res.ok()) res = decode_section<u64>(c, "buffers", true, &buffers);
+  for (const nn::Module* m : state.models) {
+    if (res.ok()) res = match("params", params, params_of(*m));
+    if (res.ok()) res = match("buffers", buffers, buffers_of(*m));
   }
-  {
-    auto named = state.models.front()->named_parameters();
-    Result res = match_and_apply(
-        "params", staged_params, named.size(),
-        [&](std::size_t i) { return named[i].name; },
-        [&](std::size_t i) -> core::Tensor& {
-          return named[i].var.mutable_value();
-        },
-        /*apply=*/false);
-    if (!res.ok()) return res;
-  }
-
-  // buffers (required in v2 — written even when empty)
-  std::vector<StagedTensor> staged_buffers;
-  {
-    Reader* sec = find("buffers");
-    if (sec == nullptr) {
-      return fail(Status::kMalformed, "ckpt::load: missing 'buffers' section");
-    }
-    u64 n = 0;
-    if (!sec->pod(&n) || n > kMaxEntries) return truncated("buffers");
-    staged_buffers.resize(static_cast<std::size_t>(n));
-    for (auto& t : staged_buffers) {
-      if (!decode_named_tensor(*sec, &t)) return truncated("buffers entry");
-    }
-    auto named = state.models.front()->named_buffers();
-    Result res = match_and_apply(
-        "buffers", staged_buffers, named.size(),
-        [&](std::size_t i) { return named[i].name; },
-        [&](std::size_t i) -> core::Tensor& { return *named[i].tensor; },
-        /*apply=*/false);
-    if (!res.ok()) return res;
-  }
+  if (!res.ok()) return res;
 
   // optim (required iff the state carries optimizers)
-  std::vector<StagedTensor> staged_opt_tensors;
-  std::vector<std::pair<std::string, i64>> staged_opt_scalars;
+  std::vector<TensorView> opt_tensors;
+  std::vector<std::pair<std::string, i64>> opt_scalars;
   if (!state.optimizers.empty()) {
-    Reader* sec = find("optim");
+    const Reader* sec = c.find("optim");
     if (sec == nullptr) {
-      return fail(Status::kStateMismatch,
-                  "ckpt::load: state has optimizers but " + path +
-                      " has no 'optim' section");
+      return Result::error(Status::kStateMismatch,
+                           "state has optimizers but the file has no 'optim' "
+                           "section");
     }
+    Reader r = *sec;
     std::string opt_name;
-    if (!sec->str(&opt_name)) return truncated("optim");
-    u32 n_tensors = 0;
-    if (!sec->pod(&n_tensors) || n_tensors > kMaxEntries) {
+    std::size_t n_scalars = 0;
+    if (!r.str(&opt_name) || !decode_tensors<u32>(r, true, &opt_tensors) ||
+        !r.count<u32>(&n_scalars, kMinNamedI64Bytes)) {
       return truncated("optim");
     }
-    staged_opt_tensors.resize(n_tensors);
-    for (auto& t : staged_opt_tensors) {
-      if (!decode_named_tensor(*sec, &t)) return truncated("optim entry");
-    }
-    u32 n_scalars = 0;
-    if (!sec->pod(&n_scalars) || n_scalars > 1024) return truncated("optim");
-    staged_opt_scalars.resize(n_scalars);
-    for (auto& [key, value] : staged_opt_scalars) {
-      if (!sec->str(&key) || !sec->pod(&value)) return truncated("optim");
+    opt_scalars.resize(n_scalars);
+    for (auto& [key, value] : opt_scalars) {
+      if (!r.str(&key) || !r.pod(&value)) return truncated("optim");
     }
     for (optim::Optimizer* opt : state.optimizers) {
       if (opt->name() != opt_name) {
-        return fail(Status::kStateMismatch,
-                    "ckpt::load: optim section is for '" + opt_name +
-                        "', state optimizer is '" + opt->name() + "'");
+        return Result::error(Status::kStateMismatch,
+                             "optim section is for '" + opt_name +
+                                 "', state optimizer is '" + opt->name() + "'");
       }
-      auto view = opt->state_entries();
-      Result res = match_and_apply(
-          "optim", staged_opt_tensors, view.tensors.size(),
-          [&](std::size_t i) { return view.tensors[i].name; },
-          [&](std::size_t i) -> core::Tensor& { return *view.tensors[i].tensor; },
-          /*apply=*/false);
+      const auto view = opt->state_entries();
+      Live live;
+      for (const auto& e : view.tensors) live.emplace_back(e.name, e.tensor);
+      res = match("optim", opt_tensors, live);
       if (!res.ok()) return res;
-      if (staged_opt_scalars.size() != view.scalars.size()) {
-        return fail(Status::kStateMismatch,
-                    "ckpt::load: optim scalar count mismatch");
+      if (opt_scalars.size() != view.scalars.size()) {
+        return Result::error(Status::kStateMismatch,
+                             "optim scalar count mismatch");
       }
       for (std::size_t i = 0; i < view.scalars.size(); ++i) {
-        if (staged_opt_scalars[i].first != view.scalars[i].name) {
-          return fail(Status::kStateMismatch,
-                      "ckpt::load: optim scalar '" +
-                          staged_opt_scalars[i].first +
-                          "' does not match state scalar '" +
-                          view.scalars[i].name + "'");
+        if (opt_scalars[i].first != view.scalars[i].name) {
+          return Result::error(Status::kStateMismatch,
+                               "optim scalar '" + opt_scalars[i].first +
+                                   "' does not match state scalar '" +
+                                   view.scalars[i].name + "'");
         }
       }
     }
   }
 
   // ema (required iff the state carries EMA weights)
-  std::vector<StagedTensor> staged_ema;
+  std::vector<TensorView> ema;
   if (!state.emas.empty()) {
-    Reader* sec = find("ema");
-    if (sec == nullptr) {
-      return fail(Status::kStateMismatch,
-                  "ckpt::load: state has EMA weights but " + path +
-                      " has no 'ema' section");
+    if (c.find("ema") == nullptr) {
+      return Result::error(Status::kStateMismatch,
+                           "state has EMA weights but the file has no 'ema' "
+                           "section");
     }
-    u64 n = 0;
-    if (!sec->pod(&n) || n > kMaxEntries) return truncated("ema");
-    staged_ema.resize(static_cast<std::size_t>(n));
-    for (auto& t : staged_ema) {
-      if (!decode_tensor_payload(*sec, &t)) return truncated("ema entry");
+    res = decode_section<u64>(c, "ema", false, &ema);
+    for (const optim::EmaWeights* weights : state.emas) {
+      Live live;
+      for (const auto& t : weights->shadow()) live.emplace_back("", &t);
+      if (res.ok()) res = match("ema", ema, live);
     }
-    for (optim::EmaWeights* ema : state.emas) {
-      auto& shadow = ema->mutable_shadow();
-      if (shadow.size() != staged_ema.size()) {
-        return fail(Status::kStateMismatch,
-                    "ckpt::load: ema shadow count mismatch");
-      }
-      for (std::size_t i = 0; i < shadow.size(); ++i) {
-        if (shadow[i].shape() != staged_ema[i].shape) {
-          return fail(Status::kStateMismatch,
-                      "ckpt::load: ema shadow shape mismatch at index " +
-                          std::to_string(i));
-        }
-      }
-    }
+    if (!res.ok()) return res;
   }
 
   // rng (required; name sets must match exactly)
-  std::vector<std::pair<std::string, core::Rng::State>> staged_rngs;
+  std::vector<std::pair<std::string, core::Rng::State>> rngs;
   {
-    Reader* sec = find("rng");
+    const Reader* sec = c.find("rng");
     if (sec == nullptr) {
-      return fail(Status::kMalformed, "ckpt::load: missing 'rng' section");
+      return Result::error(Status::kMalformed, "missing 'rng' section");
     }
-    u32 n = 0;
-    if (!sec->pod(&n) || n > 1024) return truncated("rng");
-    staged_rngs.resize(n);
-    for (auto& [name, s] : staged_rngs) {
+    Reader r = *sec;
+    std::size_t n = 0;
+    constexpr std::size_t kMinRngEntry =
+        sizeof(u32) + sizeof(u64) + sizeof(u16) + sizeof(double);
+    if (!r.count<u32>(&n, kMinRngEntry)) return truncated("rng");
+    rngs.resize(n);
+    for (auto& [name, s] : rngs) {
       u16 has_cached = 0;
-      if (!sec->str(&name) || !sec->pod(&s.counter) ||
-          !sec->pod(&has_cached) || !sec->pod(&s.cached)) {
+      if (!r.str(&name) || !r.pod(&s.counter) || !r.pod(&has_cached) ||
+          !r.pod(&s.cached)) {
         return truncated("rng entry");
       }
       s.has_cached = has_cached != 0;
     }
-    if (staged_rngs.size() != state.rngs.size()) {
-      return fail(Status::kStateMismatch,
-                  "ckpt::load: rng stream count mismatch (file " +
-                      std::to_string(staged_rngs.size()) + ", state " +
-                      std::to_string(state.rngs.size()) + ")");
+    if (rngs.size() != state.rngs.size()) {
+      return Result::error(Status::kStateMismatch,
+                           "rng stream count mismatch (file " +
+                               std::to_string(rngs.size()) + ", state " +
+                               std::to_string(state.rngs.size()) + ")");
     }
-    for (std::size_t i = 0; i < staged_rngs.size(); ++i) {
-      if (staged_rngs[i].first != state.rngs[i].first) {
-        return fail(Status::kStateMismatch,
-                    "ckpt::load: rng stream '" + staged_rngs[i].first +
-                        "' does not match state stream '" +
-                        state.rngs[i].first + "'");
+    for (std::size_t i = 0; i < rngs.size(); ++i) {
+      if (rngs[i].first != state.rngs[i].first) {
+        return Result::error(Status::kStateMismatch,
+                             "rng stream '" + rngs[i].first +
+                                 "' does not match state stream '" +
+                                 state.rngs[i].first + "'");
       }
     }
   }
 
   // extra (required; name sets and shapes must match exactly)
-  std::vector<StagedTensor> staged_extra;
-  {
-    Reader* sec = find("extra");
-    if (sec == nullptr) {
-      return fail(Status::kMalformed, "ckpt::load: missing 'extra' section");
-    }
-    u64 n = 0;
-    if (!sec->pod(&n) || n > kMaxEntries) return truncated("extra");
-    staged_extra.resize(static_cast<std::size_t>(n));
-    for (auto& t : staged_extra) {
-      if (!decode_named_tensor(*sec, &t)) return truncated("extra entry");
-    }
-    Result res = match_and_apply(
-        "extra", staged_extra, state.extra.size(),
-        [&](std::size_t i) { return state.extra[i].first; },
-        [&](std::size_t i) -> core::Tensor& { return *state.extra[i].second; },
-        /*apply=*/false);
-    if (!res.ok()) return res;
+  std::vector<TensorView> extra;
+  res = decode_section<u64>(c, "extra", true, &extra);
+  if (res.ok()) {
+    res = match("extra", extra, Live(state.extra.begin(), state.extra.end()));
   }
+  if (!res.ok()) return res;
 
   // grads (present iff saved mid-accumulation)
-  std::vector<StagedTensor> staged_grads;
-  if (micro_step > 0) {
-    Reader* sec = find("grads");
-    if (sec == nullptr) {
-      return fail(Status::kMalformed,
-                  "ckpt::load: micro_step > 0 but no 'grads' section");
+  std::vector<TensorView> grads;
+  if (meta.micro_step > 0) {
+    res = decode_section<u64>(c, "grads", false, &grads);
+    for (const nn::Module* m : state.models) {
+      Live live;
+      for (const auto& p : m->parameters()) live.emplace_back("", &p.value());
+      if (res.ok()) res = match("grads", grads, live);
     }
-    u64 n = 0;
-    if (!sec->pod(&n) || n > kMaxEntries) return truncated("grads");
-    staged_grads.resize(static_cast<std::size_t>(n));
-    for (auto& t : staged_grads) {
-      if (!decode_tensor_payload(*sec, &t)) return truncated("grads entry");
-    }
-    auto params_list = state.models.front()->parameters();
-    if (staged_grads.size() != params_list.size()) {
-      return fail(Status::kStateMismatch,
-                  "ckpt::load: grads count mismatch");
-    }
-    for (std::size_t i = 0; i < params_list.size(); ++i) {
-      if (params_list[i].shape() != staged_grads[i].shape) {
-        return fail(Status::kStateMismatch,
-                    "ckpt::load: grads shape mismatch at index " +
-                        std::to_string(i));
-      }
-    }
+    if (!res.ok()) return res;
   }
 
   // ---- stage 2: the file is fully valid — apply to every replica -----------
 
-  for (nn::Module* model : state.models) {
-    auto named = model->named_parameters();
+  for (nn::Module* m : state.models) {
+    auto named = m->named_parameters();
     for (std::size_t i = 0; i < named.size(); ++i) {
-      apply_tensor(staged_params[i], named[i].var.mutable_value());
+      params[i].copy_to(named[i].var.mutable_value());
     }
-    auto buffers = model->named_buffers();
-    for (std::size_t i = 0; i < buffers.size(); ++i) {
-      apply_tensor(staged_buffers[i], *buffers[i].tensor);
+    const auto named_buffers = m->named_buffers();
+    for (std::size_t i = 0; i < named_buffers.size(); ++i) {
+      buffers[i].copy_to(*named_buffers[i].tensor);
     }
-    if (micro_step > 0) {
-      auto params_list = model->parameters();
+    if (meta.micro_step > 0) {
+      auto params_list = m->parameters();
       for (std::size_t i = 0; i < params_list.size(); ++i) {
-        apply_tensor(staged_grads[i], params_list[i].mutable_grad());
+        grads[i].copy_to(params_list[i].mutable_grad());
       }
     }
   }
   for (optim::Optimizer* opt : state.optimizers) {
-    auto view = opt->state_entries();
+    const auto view = opt->state_entries();
     for (std::size_t i = 0; i < view.tensors.size(); ++i) {
-      apply_tensor(staged_opt_tensors[i], *view.tensors[i].tensor);
+      opt_tensors[i].copy_to(*view.tensors[i].tensor);
     }
     for (std::size_t i = 0; i < view.scalars.size(); ++i) {
-      *view.scalars[i].value = staged_opt_scalars[i].second;
+      *view.scalars[i].value = opt_scalars[i].second;
     }
   }
-  for (optim::EmaWeights* ema : state.emas) {
-    auto& shadow = ema->mutable_shadow();
-    for (std::size_t i = 0; i < shadow.size(); ++i) {
-      apply_tensor(staged_ema[i], shadow[i]);
-    }
+  for (optim::EmaWeights* weights : state.emas) {
+    auto& shadow = weights->mutable_shadow();
+    for (std::size_t i = 0; i < shadow.size(); ++i) ema[i].copy_to(shadow[i]);
   }
   for (std::size_t i = 0; i < state.rngs.size(); ++i) {
-    state.rngs[i].second->set_state(staged_rngs[i].second);
+    state.rngs[i].second->set_state(rngs[i].second);
   }
   for (std::size_t i = 0; i < state.extra.size(); ++i) {
-    apply_tensor(staged_extra[i], *state.extra[i].second);
+    extra[i].copy_to(*state.extra[i].second);
   }
-  state.step = step;
-  state.epoch = epoch;
-  state.micro_step = micro_step;
-  obs::count("ckpt_restores", 1);
+  state.step = meta.step;
+  state.epoch = meta.epoch;
+  state.micro_step = meta.micro_step;
   return {};
+}
+
+}  // namespace
+
+Result load(TrainState& state, const std::string& path) {
+  std::string image;
+  const core::Status st = core::read_file(path, &image);
+  if (!st.ok()) {
+    return Result::error(Status::kOpenFailed, "ckpt::load: " + st.message());
+  }
+  return load_image(state, image, path);
+}
+
+Result load_image(TrainState& state, const std::string& image,
+                  const std::string& origin) {
+  obs::Span span("ckpt_restore");
+  Result res = restore(state, image, origin);
+  if (!res.ok()) {
+    res.message = "ckpt::load: " + res.message + " (" + origin + ")";
+  } else {
+    obs::count("ckpt_restores", 1);
+  }
+  return res;
 }
 
 // ---- CrashPlan --------------------------------------------------------------
@@ -895,10 +564,10 @@ Result CheckpointManager::save_now(const TrainState& state) {
       std::fwrite(image.data(), 1, cut, out);
       std::fclose(out);
     }
-    return fail(Status::kSimulatedCrash,
-                "injected kill during write of " + path + " (" +
-                    std::to_string(cut) + "/" + std::to_string(image.size()) +
-                    " bytes)");
+    return Result::error(Status::kSimulatedCrash,
+                         "injected kill during write of " + path + " (" +
+                             std::to_string(cut) + "/" +
+                             std::to_string(image.size()) + " bytes)");
   }
   Result r = save(state, path);
   if (r.ok()) apply_retention();
@@ -915,7 +584,8 @@ CheckpointManager::RestoreOutcome restore_walk(
   CheckpointManager::RestoreOutcome out;
   if (files.empty()) {
     out.status =
-        fail(Status::kNoCheckpoint, "no " + label + " checkpoints in " + dir);
+        Result::error(Status::kNoCheckpoint,
+                      "no " + label + " checkpoints in " + dir);
     return out;
   }
   for (auto it = files.rbegin(); it != files.rend(); ++it) {
@@ -971,7 +641,8 @@ Result CheckpointManager::bless(i64 step) {
   const std::string path = step_path(config_.dir, step);
   std::error_code ec;
   if (!std::filesystem::exists(path, ec)) {
-    return fail(Status::kNoCheckpoint, "bless: no checkpoint at " + path);
+    return Result::error(Status::kNoCheckpoint,
+                         "bless: no checkpoint at " + path);
   }
   // The marker is existence-only metadata: is_blessed() never reads the
   // content, and a marker lost to power loss merely ages the rollback
@@ -981,11 +652,13 @@ Result CheckpointManager::bless(i64 step) {
   // lint-allow: atomic-write — existence-only marker, loss is safe
   std::FILE* f = std::fopen((path + ".blessed").c_str(), "wb");
   if (f == nullptr) {
-    return fail(Status::kWriteFailed, "bless: cannot create marker for " + path);
+    return Result::error(Status::kWriteFailed,
+                         "bless: cannot create marker for " + path);
   }
   std::fputs("blessed\n", f);
   if (std::fclose(f) != 0) {
-    return fail(Status::kWriteFailed, "bless: marker close failed for " + path);
+    return Result::error(Status::kWriteFailed,
+                         "bless: marker close failed for " + path);
   }
   return {};
 }

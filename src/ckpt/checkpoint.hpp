@@ -16,21 +16,17 @@
 //     function of the step, so the counters pin it exactly),
 //   - pending micro-batch gradients when saved mid-accumulation.
 //
-// Container format (little-endian, version 2; version-1 nn/serialize files
-// are readable for parameter-only restores):
-//
-//   magic "LEGWCKP2" | u32 version | u32 n_sections
-//   per section: u32 name_len | name | u64 payload_bytes | u32 crc32 | payload
-//
-// Every section carries a CRC32 over its payload, so truncation, torn
-// writes, and bit flips are all *detected* and reported as a structured
-// Status — never an LEGW_CHECK abort. Publication is atomic (write tmp →
-// fsync → rename via core::AtomicFile): a crash mid-write leaves at most a
-// stale .tmp next to an intact previous checkpoint. CheckpointManager adds
-// the cadence/retention policy and, on restore, falls back across corrupted
-// files to the newest valid one. A seeded CrashPlan (mirroring
-// dist::FaultPlan) injects simulated kills mid-step and mid-write so the
-// failure paths are first-class tested, including the adversarial
+// The container format and its decoder live in ckpt/container.hpp (shared
+// with the serving reader); version-1 nn/serialize files are readable for
+// parameter-only restores. Every section carries a CRC32 over its payload,
+// so truncation, torn writes, and bit flips are all *detected* and reported
+// as a structured Status — never an LEGW_CHECK abort. Publication is atomic
+// (write tmp → fsync → rename via core::AtomicFile): a crash mid-write leaves
+// at most a stale .tmp next to an intact previous checkpoint.
+// CheckpointManager adds the cadence/retention policy and, on restore, falls
+// back across corrupted files to the newest valid one. A seeded CrashPlan
+// (mirroring dist::FaultPlan) injects simulated kills mid-step and mid-write
+// so the failure paths are first-class tested, including the adversarial
 // "torn publish" case of a non-atomic filesystem.
 //
 // Obs integration: `ckpt_write` / `ckpt_restore` spans and the
@@ -42,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "ckpt/container.hpp"
 #include "core/mutex.hpp"
 #include "core/rng.hpp"
 #include "nn/module.hpp"
@@ -49,31 +46,6 @@
 #include "optim/optimizer.hpp"
 
 namespace legw::ckpt {
-
-enum class Status {
-  kOk,
-  kOpenFailed,       // cannot open for reading
-  kTruncated,        // file ends inside a declared header/section
-  kBadMagic,         // neither a v2 container nor a v1 serialize file
-  kBadVersion,       // version newer than this reader
-  kCrcMismatch,      // a section's payload fails its CRC32
-  kMalformed,        // implausible lengths/counts (bit-flipped header fields)
-  kStateMismatch,    // file disagrees with the live state's schema (names,
-                     // shapes, optimizer type, counts)
-  kWriteFailed,      // staging or atomic publication failed
-  kNoCheckpoint,     // restore_latest found no candidate files
-  kSimulatedCrash,   // a CrashPlan kill fired during this write
-};
-
-const char* status_name(Status s);
-
-// [[nodiscard]]: every function returning a Result by value inherits the
-// must-check contract (a dropped checkpoint error is silent data loss).
-struct [[nodiscard]] Result {
-  Status status = Status::kOk;
-  std::string message;  // empty when ok
-  bool ok() const { return status == Status::kOk; }
-};
 
 // Pointers into one training run's live state. The runner fills this at
 // save/restore time (the pointed-at objects move between steps — PTB's

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace legw::core {
@@ -81,6 +82,30 @@ Status atomic_write_file(const std::string& path, const void* data,
 
 Status atomic_write_file(const std::string& path, const std::string& content) {
   return atomic_write_file(path, content.data(), content.size());
+}
+
+Status read_file(const std::string& path, std::string* out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return Status::error("cannot open " + path + ": " + errno_string());
+  }
+  struct stat st {};
+  std::string why;
+  long size = -1;
+  if (::fstat(::fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
+    why = "not a regular file";
+  } else if (std::fseek(f, 0, SEEK_END) != 0 || (size = std::ftell(f)) < 0 ||
+             std::fseek(f, 0, SEEK_SET) != 0) {
+    why = "cannot size: " + errno_string();
+  } else {
+    out->resize(static_cast<std::size_t>(size));
+    if (std::fread(out->data(), 1, out->size(), f) != out->size()) {
+      why = "short read";
+    }
+  }
+  std::fclose(f);
+  if (!why.empty()) return Status::error("cannot read " + path + ": " + why);
+  return {};
 }
 
 }  // namespace legw::core

@@ -1,4 +1,5 @@
-// Atomic file publication for run artifacts.
+// Atomic file publication for run artifacts, and the matching whole-file
+// reader.
 //
 // A crash (or injected kill) halfway through a write must never leave a torn
 // checkpoint, CSV, or BENCH_*.json on disk: readers either see the previous
@@ -63,5 +64,11 @@ class AtomicFile {
 Status atomic_write_file(const std::string& path, const void* data,
                          std::size_t n);
 Status atomic_write_file(const std::string& path, const std::string& content);
+
+// Reads the whole regular file at `path` into `out`. Fails with a message
+// naming the path when it cannot be opened, is not a regular file (a
+// directory, FIFO or device has no meaningful size), or a seek, tell or read
+// comes up short.
+Status read_file(const std::string& path, std::string* out);
 
 }  // namespace legw::core

@@ -1,185 +1,21 @@
 #include "nn/serialize.hpp"
 
-#include <cstdio>
-#include <cstring>
-#include <map>
-#include <memory>
-
 #include "core/io.hpp"
 
 namespace legw::nn {
 
-namespace {
-
-constexpr char kMagic[8] = {'L', 'E', 'G', 'W', 'C', 'K', 'P', 'T'};
-constexpr u32 kVersion = 1;
-// Caps that no legitimate checkpoint exceeds; header fields beyond them are
-// bit flips or foreign data, not real sizes.
-constexpr u32 kMaxNameLen = 1u << 16;
-constexpr u64 kMaxNdim = 16;
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
+ckpt::Result save_checkpoint(const Module& module, const std::string& path) {
+  ckpt::NamedTensorRefs entries;
+  for (const auto& p : module.named_parameters()) {
+    entries.emplace_back(p.name, &p.var.value());
   }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-SerializeResult fail(SerializeStatus status, std::string message) {
-  SerializeResult r;
-  r.status = status;
-  r.message = std::move(message);
-  return r;
-}
-
-bool read_bytes(std::FILE* f, void* data, std::size_t n) {
-  return std::fread(data, 1, n, f) == n;
-}
-
-template <typename T>
-bool read_pod(std::FILE* f, T* v) {
-  return read_bytes(f, v, sizeof(T));
-}
-
-template <typename T>
-void append_pod(std::string& out, const T& v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-}  // namespace
-
-const char* serialize_status_name(SerializeStatus s) {
-  switch (s) {
-    case SerializeStatus::kOk: return "ok";
-    case SerializeStatus::kOpenFailed: return "open-failed";
-    case SerializeStatus::kShortWrite: return "short-write";
-    case SerializeStatus::kShortRead: return "short-read";
-    case SerializeStatus::kBadMagic: return "bad-magic";
-    case SerializeStatus::kBadVersion: return "bad-version";
-    case SerializeStatus::kCountMismatch: return "count-mismatch";
-    case SerializeStatus::kUnknownParam: return "unknown-param";
-    case SerializeStatus::kShapeMismatch: return "shape-mismatch";
-    case SerializeStatus::kMalformed: return "malformed";
-  }
-  return "unknown";
-}
-
-SerializeResult save_checkpoint(const Module& module, const std::string& path) {
-  const auto params = module.named_parameters();
-  std::string buf;
-  buf.append(kMagic, sizeof kMagic);
-  append_pod(buf, kVersion);
-  append_pod(buf, static_cast<u64>(params.size()));
-  for (const auto& p : params) {
-    append_pod(buf, static_cast<u32>(p.name.size()));
-    buf.append(p.name.data(), p.name.size());
-    const core::Tensor& t = p.var.value();
-    append_pod(buf, static_cast<u64>(t.dim()));
-    for (i64 d = 0; d < t.dim(); ++d) append_pod(buf, t.size(d));
-    buf.append(reinterpret_cast<const char*>(t.data()),
-               static_cast<std::size_t>(t.numel()) * sizeof(float));
-  }
-  const core::Status st = core::atomic_write_file(path, buf);
+  const core::Status st =
+      core::atomic_write_file(path, ckpt::encode_v1(entries));
   if (!st.ok()) {
-    return fail(SerializeStatus::kShortWrite,
-                "checkpoint: cannot write " + path + " (" + st.message() + ")");
+    return ckpt::Result::error(ckpt::Status::kWriteFailed,
+                               "nn::save_checkpoint: " + st.message());
   }
   return {};
-}
-
-SerializeResult load_checkpoint(Module& module, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    return fail(SerializeStatus::kOpenFailed,
-                "checkpoint: cannot open " + path + " for reading");
-  }
-
-  char magic[8];
-  if (!read_bytes(f.get(), magic, sizeof magic)) {
-    return fail(SerializeStatus::kShortRead,
-                "checkpoint: " + path + " truncated in header");
-  }
-  if (std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    return fail(SerializeStatus::kBadMagic, "checkpoint: bad magic in " + path);
-  }
-  u32 version = 0;
-  u64 n_entries = 0;
-  if (!read_pod(f.get(), &version) || !read_pod(f.get(), &n_entries)) {
-    return fail(SerializeStatus::kShortRead,
-                "checkpoint: " + path + " truncated in header");
-  }
-  if (version != kVersion) {
-    return fail(SerializeStatus::kBadVersion,
-                "checkpoint: unsupported version " + std::to_string(version) +
-                    " in " + path);
-  }
-
-  auto params = module.named_parameters();
-  std::map<std::string, ag::Variable*> by_name;
-  for (auto& p : params) by_name[p.name] = &p.var;
-  if (n_entries != params.size()) {
-    return fail(SerializeStatus::kCountMismatch,
-                "checkpoint: parameter count mismatch (file has " +
-                    std::to_string(n_entries) + ", module has " +
-                    std::to_string(params.size()) + ")");
-  }
-
-  SerializeResult result;
-  for (u64 e = 0; e < n_entries; ++e) {
-    u32 name_len = 0;
-    if (!read_pod(f.get(), &name_len)) {
-      return fail(SerializeStatus::kShortRead,
-                  "checkpoint: " + path + " truncated at entry " +
-                      std::to_string(e));
-    }
-    if (name_len == 0 || name_len > kMaxNameLen) {
-      return fail(SerializeStatus::kMalformed,
-                  "checkpoint: implausible name length " +
-                      std::to_string(name_len) + " in " + path);
-    }
-    std::string name(name_len, '\0');
-    u64 ndim = 0;
-    if (!read_bytes(f.get(), name.data(), name_len) ||
-        !read_pod(f.get(), &ndim)) {
-      return fail(SerializeStatus::kShortRead,
-                  "checkpoint: " + path + " truncated at entry " +
-                      std::to_string(e));
-    }
-    if (ndim > kMaxNdim) {
-      return fail(SerializeStatus::kMalformed,
-                  "checkpoint: implausible ndim " + std::to_string(ndim) +
-                      " for '" + name + "' in " + path);
-    }
-    core::Shape shape(static_cast<std::size_t>(ndim));
-    for (u64 d = 0; d < ndim; ++d) {
-      if (!read_pod(f.get(), &shape[static_cast<std::size_t>(d)])) {
-        return fail(SerializeStatus::kShortRead,
-                    "checkpoint: " + path + " truncated in shape of '" + name +
-                        "'");
-      }
-    }
-
-    const auto it = by_name.find(name);
-    if (it == by_name.end()) {
-      return fail(SerializeStatus::kUnknownParam,
-                  "checkpoint: module has no parameter named '" + name + "'");
-    }
-    core::Tensor& dst = it->second->mutable_value();
-    if (dst.shape() != shape) {
-      return fail(SerializeStatus::kShapeMismatch,
-                  "checkpoint: shape mismatch for '" + name + "': file " +
-                      core::shape_to_string(shape) + " vs module " +
-                      core::shape_to_string(dst.shape()));
-    }
-    if (!read_bytes(f.get(), dst.data(),
-                    static_cast<std::size_t>(dst.numel()) * sizeof(float))) {
-      return fail(SerializeStatus::kShortRead,
-                  "checkpoint: " + path + " truncated in data of '" + name +
-                      "'");
-    }
-    ++result.restored;
-  }
-  return result;
 }
 
 }  // namespace legw::nn

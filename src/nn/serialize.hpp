@@ -1,62 +1,21 @@
-// Checkpointing: save and restore a Module's named parameters in a simple
-// self-describing binary format.
-//
-// Format (little-endian, version 1):
-//   magic "LEGWCKPT" | u32 version | u64 n_entries
-//   per entry: u32 name_len | name bytes | u64 ndim | i64 dims[ndim]
-//              | float data[numel]
-// Entries are matched to the module by name on load; shape mismatches or
-// missing/extra entries are errors (a checkpoint is a contract).
-//
-// All failures — I/O (cannot open, short read/write) and format (bad magic,
-// unsupported version, shape/name/count mismatch) — come back as a
-// SerializeResult, never an abort: a training loop must be able to survive a
-// torn or foreign file and fall back to an older checkpoint. The full
-// training-state subsystem in ckpt/checkpoint.hpp builds on this layer (its
-// v2 container embeds the same per-tensor entry encoding and reads v1 files
-// for parameter-only restores).
+// Parameter-only checkpoint writer: a Module's named parameters in the
+// version-1 file format (ckpt/container.hpp has the layout). ckpt::load
+// restores these files into a module all-or-nothing, matching entries by
+// name and shape; full training state (optimizer, RNG, counters) needs the
+// v2 container that ckpt::save writes.
 #pragma once
 
 #include <string>
 
+#include "ckpt/container.hpp"
 #include "nn/module.hpp"
 
 namespace legw::nn {
 
-enum class SerializeStatus {
-  kOk,
-  kOpenFailed,      // cannot open the file for reading/writing
-  kShortWrite,      // write or atomic publication failed
-  kShortRead,       // file ends before the declared content (truncation)
-  kBadMagic,        // not a LEGWCKPT file
-  kBadVersion,      // version newer than this reader
-  kCountMismatch,   // file entry count != module parameter count
-  kUnknownParam,    // file names a parameter the module does not have
-  kShapeMismatch,   // entry shape != module parameter shape
-  kMalformed,       // implausible lengths (bit-flipped header fields)
-};
-
-const char* serialize_status_name(SerializeStatus s);
-
-struct [[nodiscard]] SerializeResult {
-  SerializeStatus status = SerializeStatus::kOk;
-  std::string message;  // empty when ok
-  i64 restored = 0;     // parameters restored (load only)
-  bool ok() const { return status == SerializeStatus::kOk; }
-};
-
 // Writes every named parameter of `module` to `path` atomically
 // (tmp + fsync + rename via core::AtomicFile): a crash mid-save never
-// corrupts an existing checkpoint at `path`.
-[[nodiscard]] SerializeResult save_checkpoint(const Module& module,
-                                              const std::string& path);
-
-// Loads parameter values into `module` (matched by name; shapes must match
-// exactly). On error the module may be partially updated with the entries
-// that decoded cleanly before the failure — callers needing all-or-nothing
-// semantics should use ckpt::load, which parses and validates the whole file
-// in memory before touching any live tensor.
-[[nodiscard]] SerializeResult load_checkpoint(Module& module,
-                                              const std::string& path);
+// corrupts an existing checkpoint at `path`. Fails with kWriteFailed.
+[[nodiscard]] ckpt::Result save_checkpoint(const Module& module,
+                                           const std::string& path);
 
 }  // namespace legw::nn

@@ -1,14 +1,12 @@
-// Standalone checkpoint-container reader for the serving runtime.
+// The serving runtime's view of a checkpoint file.
 //
 // The serving path (src/serve) is deliberately tape-free: it links only
-// legw_core + legw_mem + legw_obs, never the autograd/nn/ckpt stack
-// (tools/lint.py's serve-no-tape rule enforces this statically). ckpt::load
-// restores into live nn::Module state and therefore drags the whole training
-// graph in, so serving re-reads the same v2 container bytes
-// (ckpt/checkpoint.cpp writes them; docs/CHECKPOINT.md has the layout) into
-// plain name->tensor maps here, with the identical validation posture: the
-// whole file is parsed and every section CRC-checked before anything is
-// returned, failures are structured Status values, never aborts.
+// legw_core + legw_mem + legw_obs and the leaf container codec
+// (ckpt/container.hpp, itself on legw_core alone), never the autograd/nn/
+// ckpt training stack (tools/lint.py's serve-no-tape rule enforces this
+// statically). The codec parses and CRC-checks the whole file exactly as
+// ckpt::load does; this layer adds serving's policy on top: which sections
+// are required, and owned copies of the tensors.
 //
 // Serving requires a *full-state* v2 checkpoint: `meta` (provenance),
 // `params` and `buffers` (inference-mode BatchNorm needs the running stats a
@@ -20,35 +18,15 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/container.hpp"
 #include "core/tensor.hpp"
 
 namespace legw::serve {
 
-enum class Status {
-  kOk,
-  kOpenFailed,      // cannot open/read the file
-  kTruncated,       // file ends inside a declared header/section
-  kBadMagic,        // not a LEGW checkpoint at all
-  kBadVersion,      // container version newer than this reader
-  kCrcMismatch,     // a section's payload fails its CRC32
-  kMalformed,       // implausible lengths/counts (bit-flipped fields)
-  kMissingSection,  // v1 file, or v2 container without a serve-required
-                    // section; the message names every missing section
-  kSchemaMismatch,  // checkpoint disagrees with the session's model config
-                    // (missing tensor, wrong shape)
-  kInvalidRequest,  // request rejected before batching (bad tokens/shape)
-  kUnavailable,     // broker already shut down
-};
-
-const char* status_name(Status s);
-
-// [[nodiscard]]: a dropped serve status silently serves a stale or broken
-// model image.
-struct [[nodiscard]] Result {
-  Status status = Status::kOk;
-  std::string message;  // empty when ok
-  bool ok() const { return status == Status::kOk; }
-};
+// One status taxonomy for checkpoints and serving.
+using Status = ckpt::Status;
+using Result = ckpt::Result;
+using ckpt::status_name;
 
 struct NamedTensor {
   std::string name;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/io.hpp"
 #include "core/kernels.hpp"
 #include "mem/alloc.hpp"
 #include "obs/trace.hpp"
@@ -11,13 +12,6 @@ namespace legw::serve {
 
 namespace {
 
-Result fail(Status status, std::string message) {
-  Result r;
-  r.status = status;
-  r.message = std::move(message);
-  return r;
-}
-
 // Pulls one named tensor out of the image, shape-checked. The training-side
 // dot-joined module path ("transform.weight", "lstm.layer0.bias", ...) is
 // the schema; anything absent or misshapen is a kSchemaMismatch.
@@ -25,14 +19,15 @@ Result take_param(const ModelImage& image, const std::string& name,
                   const core::Shape& want, core::Tensor* dst) {
   const core::Tensor* src = image.find_param(name);
   if (src == nullptr) {
-    return fail(Status::kSchemaMismatch,
-                "checkpoint has no parameter '" + name + "'");
+    return Result::error(Status::kSchemaMismatch,
+                         "checkpoint has no parameter '" + name + "'");
   }
   if (src->shape() != want) {
-    return fail(Status::kSchemaMismatch,
-                "parameter '" + name + "': checkpoint shape " +
-                    core::shape_to_string(src->shape()) +
-                    " vs session config " + core::shape_to_string(want));
+    return Result::error(Status::kSchemaMismatch,
+                         "parameter '" + name + "': checkpoint shape " +
+                             core::shape_to_string(src->shape()) +
+                             " vs session config " +
+                             core::shape_to_string(want));
   }
   *dst = *src;
   return {};
@@ -168,21 +163,8 @@ Result ServeSession::load(const SessionConfig& config,
   LEGW_CHECK(out != nullptr, "ServeSession::load: null output");
   out->reset();
   std::string image;
-  {
-    std::FILE* f = std::fopen(ckpt_path.c_str(), "rb");
-    if (f == nullptr) {
-      return fail(Status::kOpenFailed, "cannot read " + ckpt_path);
-    }
-    std::fseek(f, 0, SEEK_END);
-    const long sz = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    image.resize(sz < 0 ? 0 : static_cast<std::size_t>(sz));
-    const bool ok = image.empty() ||
-                    std::fread(image.data(), 1, image.size(), f) ==
-                        image.size();
-    std::fclose(f);
-    if (!ok) return fail(Status::kOpenFailed, "cannot read " + ckpt_path);
-  }
+  const core::Status st = core::read_file(ckpt_path, &image);
+  if (!st.ok()) return Result::error(Status::kOpenFailed, st.message());
   Result res = load_bytes(config, image, out);
   if (!res.ok() && !res.message.empty()) res.message += " (" + ckpt_path + ")";
   return res;
@@ -203,20 +185,22 @@ Result ServeSession::validate(const Request& req) const {
   if (config_.kind == ModelKind::kMnistLstm) {
     const i64 want = config_.mnist.n_rows * config_.mnist.n_cols;
     if (static_cast<i64>(req.features.size()) != want) {
-      return fail(Status::kInvalidRequest,
-                  "mnist request needs " + std::to_string(want) +
-                      " features, got " + std::to_string(req.features.size()));
+      return Result::error(Status::kInvalidRequest,
+                           "mnist request needs " + std::to_string(want) +
+                               " features, got " +
+                               std::to_string(req.features.size()));
     }
     return {};
   }
   if (req.tokens.empty()) {
-    return fail(Status::kInvalidRequest, "ptb request has no tokens");
+    return Result::error(Status::kInvalidRequest, "ptb request has no tokens");
   }
   for (i32 t : req.tokens) {
     if (t < 0 || t >= config_.ptb.vocab) {
-      return fail(Status::kInvalidRequest,
-                  "token id " + std::to_string(t) + " outside vocab [0, " +
-                      std::to_string(config_.ptb.vocab) + ")");
+      return Result::error(Status::kInvalidRequest,
+                           "token id " + std::to_string(t) +
+                               " outside vocab [0, " +
+                               std::to_string(config_.ptb.vocab) + ")");
     }
   }
   return {};
@@ -239,10 +223,10 @@ Result ServeSession::run_batch(const std::vector<Request>& reqs, i64 pad_len,
   }
   if (pad_len <= 0) pad_len = max_len;
   if (pad_len < max_len) {
-    return fail(Status::kInvalidRequest,
-                "pad_len " + std::to_string(pad_len) +
-                    " shorter than longest request (" +
-                    std::to_string(max_len) + ")");
+    return Result::error(Status::kInvalidRequest,
+                         "pad_len " + std::to_string(pad_len) +
+                             " shorter than longest request (" +
+                             std::to_string(max_len) + ")");
   }
   const i64 rows = static_cast<i64>(reqs.size());
   const i64 batch = std::max(rows, pad_rows_to);

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "ag/gradcheck.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "data/images.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "data/translation.hpp"
@@ -119,7 +120,9 @@ TEST(GnmtCheckpoint, RoundTripPreservesDecoding) {
   models::GnmtConfig cfg_b = cfg;
   cfg_b.seed = 999;
   models::Gnmt b(cfg_b);
-  ASSERT_TRUE(nn::load_checkpoint(b, path).ok());
+  ckpt::TrainState state;
+  state.models.push_back(&b);
+  ASSERT_TRUE(ckpt::load(state, path).ok());
   std::remove(path.c_str());
   auto after = b.greedy_decode(batch, 10);
   EXPECT_EQ(before, after);

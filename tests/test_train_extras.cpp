@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ag/ops.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "dist/overlap.hpp"
 #include "models/mnist_lstm.hpp"
 #include "nn/layers.hpp"
@@ -35,9 +36,10 @@ TEST(Checkpoint, RoundTripsLinearLayer) {
   Rng rng2(999);  // different init
   nn::Linear b(4, 3, rng2);
   EXPECT_NE(a.weight().value()[0], b.weight().value()[0]);
-  const nn::SerializeResult restored = nn::load_checkpoint(b, tmp.path);
+  ckpt::TrainState state;
+  state.models.push_back(&b);
+  const ckpt::Result restored = ckpt::load(state, tmp.path);
   ASSERT_TRUE(restored.ok()) << restored.message;
-  EXPECT_EQ(restored.restored, 2);
   for (i64 i = 0; i < a.weight().numel(); ++i) {
     ASSERT_EQ(a.weight().value()[i], b.weight().value()[i]);
   }
@@ -60,7 +62,9 @@ TEST(Checkpoint, RoundTripsFullModelAndPreservesOutputs) {
   models::MnistLstmConfig cfg_b = cfg;
   cfg_b.seed = 777;  // different init
   models::MnistLstm b(cfg_b);
-  ASSERT_TRUE(nn::load_checkpoint(b, tmp.path).ok());
+  ckpt::TrainState state;
+  state.models.push_back(&b);
+  ASSERT_TRUE(ckpt::load(state, tmp.path).ok());
   ag::Variable out_b = b.forward(images);
   for (i64 i = 0; i < out_a.numel(); ++i) {
     ASSERT_EQ(out_a.value()[i], out_b.value()[i]);
@@ -73,8 +77,10 @@ TEST(Checkpoint, RejectsShapeMismatchWithoutAborting) {
   nn::Linear a(4, 3, rng);
   ASSERT_TRUE(nn::save_checkpoint(a, tmp.path).ok());
   nn::Linear b(5, 3, rng);
-  const nn::SerializeResult res = nn::load_checkpoint(b, tmp.path);
-  EXPECT_EQ(res.status, nn::SerializeStatus::kShapeMismatch);
+  ckpt::TrainState state;
+  state.models.push_back(&b);
+  const ckpt::Result res = ckpt::load(state, tmp.path);
+  EXPECT_EQ(res.status, ckpt::Status::kStateMismatch);
   EXPECT_NE(res.message.find("shape"), std::string::npos);
 }
 
@@ -85,8 +91,10 @@ TEST(Checkpoint, RejectsCorruptMagicWithoutAborting) {
   std::fclose(f);
   Rng rng(4);
   nn::Linear a(2, 2, rng);
-  const nn::SerializeResult res = nn::load_checkpoint(a, tmp.path);
-  EXPECT_EQ(res.status, nn::SerializeStatus::kBadMagic);
+  ckpt::TrainState state;
+  state.models.push_back(&a);
+  const ckpt::Result res = ckpt::load(state, tmp.path);
+  EXPECT_EQ(res.status, ckpt::Status::kBadMagic);
 }
 
 TEST(GradientAccumulator, MatchesLargeBatchGradient) {
